@@ -9,17 +9,14 @@
 //!         [--trace] [--analyze] [--explain-cost] [--qerr-threshold Q]
 //!         [--fault-seed S1,S2,...] [--replication K1,K2,...]
 //!         [--timeout-ms MS] [--mem-budget ROWS] [--bench-json [PATH]]
-//!         [--columnar|--no-columnar] [--clients N] [--queries N]
+//!         [--clients N] [--queries N]
 //!         [--concurrency N] [--repeat-workload]
 //!         [--pool-bytes N] [--data-dir DIR]
 //!         [--disk-seed N] [--net-seed N]
 //! ```
 //!
 //! `--threads N` runs the figure executors on a worker pool of N threads
-//! (default 1 = serial). `--columnar` (the default) / `--no-columnar`
-//! select the execution representation for the figure experiments — the
-//! two must be observationally identical, so the flag exists for A/B
-//! timing and differential debugging, not for changing results. `--trace`
+//! (default 1 = serial). `--trace`
 //! additionally emits, for each figure, the per-strategy rewrite step log
 //! and a single-line JSON document with the EXPLAIN plans, rewrite traces
 //! and per-box execution traces. `--analyze` prints the collected
@@ -29,11 +26,10 @@
 //! `accuracy` experiment summarizes the race across every figure; with
 //! `--qerr-threshold Q` it exits non-zero if any chosen plan's total-cost
 //! q-error exceeds Q (the CI `estimator-accuracy` job). `--bench-json
-//! [PATH]` records the {row-wise, columnar} × {serial, parallel} benchmark
-//! grid plus each figure's chosen strategy and q-error (failing if any
-//! cell diverges or the columnar path does more work) to PATH, default
-//! `BENCH_PR5.json`. The bench grid always runs both representations; it
-//! ignores `--no-columnar`.
+//! [PATH]` records the {serial, parallel} benchmark grid plus each
+//! figure's chosen strategy and q-error (failing if the parallel run's
+//! rows or `ExecStats` diverge from the serial run's) to PATH, default
+//! `BENCH_PR5.json`.
 //!
 //! The `chaos` experiment (run only when requested by name — it is not
 //! part of `all`) executes the figure queries on a 4-node cluster under a
@@ -60,14 +56,15 @@
 //! report to `BENCH_PR9.json` by default.
 //!
 //! The `ni-bench` experiment (opt-in by name — it is a regression gate,
-//! not a paper figure) compares the three nested-iteration lanes — naive
-//! (pre-memoization), memoized (correlation-key memo) and batched (memo +
-//! sorted outer batches + set-oriented correlation probe) — over the
-//! baseline figures. It *enforces* byte-identical rows, an unchanged
-//! logical invocation count, the `invocations == distinct + hits` counter
-//! invariant, and strictly less total work than naive on every figure
-//! (the CI `ni-memo-smoke` job runs it at tiny scale); with `--bench-json`
-//! the report is recorded to `BENCH_PR10.json` by default.
+//! not a paper figure) compares the two nested-iteration lanes — the
+//! naive oracle (pre-memoization) and the default batched executor
+//! (correlation-key memo + sorted outer batches + set-oriented
+//! correlation probe) — over the baseline figures. It *enforces*
+//! byte-identical rows, an unchanged logical invocation count, the
+//! `invocations == distinct + hits` counter invariant, and total work
+//! never above naive — strictly below wherever the memo hits (the CI
+//! `ni-memo-smoke` job runs it at tiny scale); with `--bench-json` the
+//! report is recorded to `BENCH_PR10.json` by default.
 //!
 //! The `serve-bench` experiment (also opt-in by name) boots the
 //! `decorr-server` TCP service and drives it with `--clients` concurrent
@@ -99,7 +96,7 @@ use std::time::Instant;
 
 use decorr_bench::{
     analyze_figure, bench_baseline, chaos_sweep, disk_net_chaos, figure_trace_json, format_table,
-    ni_bench, race_figure, repeat_workload_bench, run_figure_cfg, run_figure_traced, serve_bench,
+    ni_bench, race_figure, repeat_workload_bench, run_figure_traced, run_figure_with, serve_bench,
     storage_bench, ChaosConfig, DiskNetChaosConfig, Figure, ServeBenchConfig, StorageBenchConfig,
 };
 use decorr_common::Result;
@@ -124,7 +121,6 @@ struct Args {
     timeout_ms: Option<u64>,
     mem_budget: Option<usize>,
     bench_json: Option<String>,
-    columnar: bool,
     clients: usize,
     queries: usize,
     concurrency: usize,
@@ -151,7 +147,6 @@ fn parse_args() -> Args {
         timeout_ms: None,
         mem_budget: None,
         bench_json: None,
-        columnar: true,
         clients: 8,
         queries: 25,
         concurrency: 1,
@@ -175,8 +170,6 @@ fn parse_args() -> Args {
                     .collect()
             }
             "--threads" => args.threads = it.next().expect("--threads N").parse().expect("number"),
-            "--columnar" => args.columnar = true,
-            "--no-columnar" => args.columnar = false,
             "--trace" => args.trace = true,
             "--analyze" => args.analyze = true,
             "--explain-cost" => args.explain_cost = true,
@@ -423,9 +416,7 @@ fn main() -> Result<()> {
                     let threads = if args.threads > 1 { args.threads } else { 4 };
                     (
                         bench_baseline(args.scale, args.seed, threads)?,
-                        format!(
-                            "columnar A/B baseline (row-wise vs columnar, threads 1 vs {threads})"
-                        ),
+                        format!("exec baseline (threads 1 vs {threads})"),
                         "BENCH_PR5.json",
                     )
                 }
@@ -476,7 +467,7 @@ fn figure(fig: Figure, args: &Args) -> Result<()> {
         print!("{}", analyze_figure(fig, scale, seed)?);
         println!();
     }
-    let ms = run_figure_cfg(fig, &db, threads, args.columnar)?;
+    let ms = run_figure_with(fig, &db, threads)?;
     println!("{}", format_table(fig, scale, &ms));
     if args.explain_cost {
         println!("{}", race_figure(fig, &db)?.render());

@@ -123,13 +123,6 @@ impl Figure {
         ExecOptions { threads, ..self.exec_opts(s) }
     }
 
-    /// [`Figure::exec_opts`] with both the pool width and the execution
-    /// representation set — the full A/B configuration surface
-    /// (`--threads` × `--columnar`/`--no-columnar`).
-    pub fn exec_opts_cfg(self, s: Strategy, threads: usize, columnar: bool) -> ExecOptions {
-        ExecOptions { threads, columnar, ..self.exec_opts(s) }
-    }
-
     /// Build the database this figure runs against.
     pub fn database(self, scale: f64, seed: u64) -> Result<Database> {
         let mut db = generate(&TpcdConfig { scale, seed, with_indexes: true })?;
@@ -274,23 +267,11 @@ pub fn run_figure(fig: Figure, db: &Database) -> Result<Vec<Measurement>> {
 /// (parallel runs may emit rows in a different order, never different
 /// rows).
 pub fn run_figure_with(fig: Figure, db: &Database, threads: usize) -> Result<Vec<Measurement>> {
-    run_figure_cfg(fig, db, threads, true)
-}
-
-/// [`run_figure_with`] with the execution representation selectable —
-/// the harness's `--no-columnar` flag lands here.
-pub fn run_figure_cfg(
-    fig: Figure,
-    db: &Database,
-    threads: usize,
-    columnar: bool,
-) -> Result<Vec<Measurement>> {
     let reference = fig.strategies()[0];
     let mut out = Vec::new();
     let mut ref_rows: Option<Vec<Row>> = None;
     for s in fig.strategies() {
-        let (mut rows, m) =
-            run_strategy(db, fig.sql(), s, fig.exec_opts_cfg(s, threads, columnar))?;
+        let (mut rows, m) = run_strategy(db, fig.sql(), s, fig.exec_opts_threads(s, threads))?;
         rows.sort();
         match &ref_rows {
             None => ref_rows = Some(rows),
@@ -467,33 +448,27 @@ pub fn analyze_figure(fig: Figure, scale: f64, seed: u64) -> Result<String> {
 pub const BASELINE_FIGURES: [Figure; 3] = [Figure::Fig5, Figure::Fig8, Figure::Fig9];
 
 /// Run the recorded benchmark baseline: every [`BASELINE_FIGURES`] figure,
-/// every strategy, across the full A/B grid — {row-wise, columnar} ×
-/// {serial, `threads` workers}. Three contracts are *enforced*, not just
-/// recorded (the CI `bench-smoke` and `columnar-smoke` jobs run exactly
+/// every strategy, serial and on `threads` workers. Two contracts are
+/// *enforced*, not just recorded (the CI `bench-smoke` job runs exactly
 /// these checks at tiny scale):
 ///
-/// * At each thread count the columnar run must return **byte-identical
-///   rows in the same order** as the row-wise run, with **identical
-///   `ExecStats`** — the two representations must be observationally
-///   indistinguishable.
 /// * The parallel run must return the same multiset of rows as the serial
 ///   run (order may differ across pool widths, rows may not).
-/// * Columnar total deterministic work must never exceed row-wise total
-///   work on any figure/strategy/thread-count — vectorization is not
-///   allowed to buy wall time with extra work.
+/// * The parallel run must report **identical `ExecStats`** — and so
+///   identical total deterministic work: parallelism may buy wall time,
+///   never extra (or different) work.
 ///
 /// Returns the JSON document recorded as `BENCH_PR5.json`: per
-/// figure/strategy/representation/thread-count the wall time, result rows,
-/// predicate evaluations and total deterministic work, plus the host CPU
-/// count so a reader can judge how much true parallelism the wall times
-/// reflect.
+/// figure/strategy/thread-count the wall time, result rows, predicate
+/// evaluations and total deterministic work, plus the host CPU count so a
+/// reader can judge how much true parallelism the wall times reflect.
 pub fn bench_baseline(scale: f64, seed: u64, threads: usize) -> Result<String> {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut w = JsonWriter::new();
     w.begin_object()
-        .field_str("bench", "columnar-ab-baseline")
+        .field_str("bench", "exec-baseline")
         .field_float("scale", scale)
         .field_uint("seed", seed)
         .field_uint("host_cpus", host_cpus as u64)
@@ -506,52 +481,15 @@ pub fn bench_baseline(scale: f64, seed: u64, threads: usize) -> Result<String> {
             .field_str("title", fig.title());
         w.key("strategies").begin_array();
         for s in fig.strategies() {
-            // The grid: representation-major so each (row, col) pair at a
-            // thread count is adjacent for the equivalence checks below.
             let mut runs = Vec::new();
             for t in [1, threads] {
-                for columnar in [false, true] {
-                    let (rows, m) =
-                        run_strategy(&db, fig.sql(), s, fig.exec_opts_cfg(s, t, columnar))?;
-                    runs.push((t, columnar, rows, m));
-                }
+                let (rows, m) = run_strategy(&db, fig.sql(), s, fig.exec_opts_threads(s, t))?;
+                runs.push((t, rows, m));
             }
-            for pair in runs.chunks(2) {
-                let (t, _, row_rows, row_m) = &pair[0];
-                let (_, _, col_rows, col_m) = &pair[1];
-                if row_rows != col_rows {
-                    return Err(Error::internal(format!(
-                        "columnar run diverges from row-wise for {} on {} (threads={t}): \
-                         {} vs {} row(s)",
-                        s.name(),
-                        fig.id(),
-                        row_m.rows,
-                        col_m.rows
-                    )));
-                }
-                if row_m.stats != col_m.stats {
-                    return Err(Error::internal(format!(
-                        "columnar ExecStats diverge from row-wise for {} on {} (threads={t}): \
-                         {:?} vs {:?}",
-                        s.name(),
-                        fig.id(),
-                        row_m.stats,
-                        col_m.stats
-                    )));
-                }
-                if col_m.stats.total_work() > row_m.stats.total_work() {
-                    return Err(Error::internal(format!(
-                        "columnar path does more work than row-wise for {} on {} (threads={t}): \
-                         {} vs {}",
-                        s.name(),
-                        fig.id(),
-                        col_m.stats.total_work(),
-                        row_m.stats.total_work()
-                    )));
-                }
-            }
-            let mut srows = runs[0].2.clone();
-            let mut prows = runs[2].2.clone();
+            let (_, serial_rows, serial_m) = &runs[0];
+            let (_, parallel_rows, parallel_m) = &runs[1];
+            let mut srows = serial_rows.clone();
+            let mut prows = parallel_rows.clone();
             srows.sort();
             prows.sort();
             if srows != prows {
@@ -560,16 +498,25 @@ pub fn bench_baseline(scale: f64, seed: u64, threads: usize) -> Result<String> {
                      {} vs {} row(s) after sorting",
                     s.name(),
                     fig.id(),
-                    runs[0].3.rows,
-                    runs[2].3.rows
+                    serial_m.rows,
+                    parallel_m.rows
+                )));
+            }
+            if parallel_m.stats != serial_m.stats {
+                return Err(Error::internal(format!(
+                    "parallel ExecStats (threads={threads}) diverge from serial for {} on {}: \
+                     {:?} vs {:?}",
+                    s.name(),
+                    fig.id(),
+                    parallel_m.stats,
+                    serial_m.stats
                 )));
             }
             w.begin_object().field_str("strategy", s.name());
             w.key("runs").begin_array();
-            for (t, columnar, _, m) in &runs {
+            for (t, _, m) in &runs {
                 w.begin_object()
                     .field_uint("threads", *t as u64)
-                    .field_bool("columnar", *columnar)
                     .field_float("time_ms", m.elapsed.as_secs_f64() * 1e3)
                     .field_uint("rows", m.rows as u64)
                     .field_uint("predicate_evals", m.stats.predicate_evals)
@@ -607,35 +554,33 @@ pub fn bench_baseline(scale: f64, seed: u64, threads: usize) -> Result<String> {
 /// distinct in our generator (4 suppliers per part across 25 nations).
 pub const NI_BENCH_FIGURES: [Figure; 4] = [Figure::Fig5, Figure::Fig6, Figure::Fig8, Figure::Fig9];
 
-/// Compare the three nested-iteration lanes over [`NI_BENCH_FIGURES`]:
-/// `naive` (the pre-memoization executor, [`ExecOptions::naive_ni`]),
-/// `memo` (correlation-key memoization only) and `batched` (memoization
-/// plus sorted outer batches and the set-oriented correlation probe — the
-/// default executor). Returns `(text table, JSON document)`; the JSON is
-/// recorded as `BENCH_PR10.json`.
+/// Compare the two nested-iteration lanes over [`NI_BENCH_FIGURES`]:
+/// `naive` (the pre-memoization oracle, [`ExecOptions::naive_ni`]) and
+/// `batched` (the default executor: correlation-key memoization plus
+/// sorted outer batches and the set-oriented correlation probe). Returns
+/// `(text table, JSON document)`; the JSON is recorded as
+/// `BENCH_PR10.json`.
 ///
 /// Four contracts are *enforced*, not just recorded (the CI
 /// `ni-memo-smoke` job runs exactly these checks at tiny scale):
 ///
-/// * memo and batched must return **byte-identical rows in the same
-///   order** as the naive lane — memoization may never change an answer;
-/// * all three lanes must report the same logical
-///   `subquery_invocations` — memoization changes what *executes*, not
-///   what the plan *asks for*;
+/// * batched must return **byte-identical rows in the same order** as the
+///   naive lane — memoization may never change an answer;
+/// * both lanes must report the same logical `subquery_invocations` —
+///   memoization changes what *executes*, not what the plan *asks for*;
 /// * every lane must satisfy `invocations == distinct + memo_hits`;
-/// * memo and batched total deterministic work must never exceed naive
-///   work, and must be **strictly below** it whenever the memo recorded
-///   hits — a hit that doesn't save work is a bug. (At tiny CI scales a
-///   figure may have no duplicate bindings; at the recorded scale ≥ 0.2
-///   every baseline figure hits, so the recorded run shows all three
-///   strictly below naive.)
+/// * batched total deterministic work must never exceed naive work, and
+///   must be **strictly below** it whenever the memo recorded hits — a
+///   hit that doesn't save work is a bug. (At tiny CI scales a figure may
+///   have no duplicate bindings; at the recorded scale ≥ 0.2 fig6, fig8
+///   and fig9 hit, so the recorded run shows them strictly below naive.)
 pub fn ni_bench(scale: f64, seed: u64) -> Result<(String, String)> {
     use std::fmt::Write as _;
 
     let mut table = String::new();
     writeln!(
         table,
-        "Nested-iteration lanes - naive vs memoized vs batched (scale {scale})"
+        "Nested-iteration lanes - naive vs batched (scale {scale})"
     )
     .unwrap();
     writeln!(
@@ -665,14 +610,10 @@ pub fn ni_bench(scale: f64, seed: u64) -> Result<(String, String)> {
         // Default options, deliberately NOT `fig.exec_opts`: Figure 8's
         // paper NI plan places the subquery at its earliest binding, which
         // already collapses invocations to one per part. Memoization
-        // targets the classic per-candidate-row regime, so all three lanes
-        // run the same default placement and differ only in the memo knobs.
-        let lanes: [(&str, ExecOptions); 3] = [
+        // targets the classic per-candidate-row regime, so both lanes run
+        // the same default placement and differ only in the oracle flag.
+        let lanes: [(&str, ExecOptions); 2] = [
             ("naive", ExecOptions::default().naive_ni()),
-            (
-                "memo",
-                ExecOptions { ni_batch: false, ..ExecOptions::default() },
-            ),
             ("batched", ExecOptions::default()),
         ];
         let mut runs = Vec::new();

@@ -21,8 +21,8 @@
 //! Every kernel replicates the scalar semantics in [`crate::value`]
 //! *exactly* — same three-valued comparisons, same NaN/-0.0 handling, same
 //! overflow errors, same fold order for non-associative float sums — so the
-//! executor's columnar path produces byte-identical rows and identical
-//! `ExecStats` to its row-wise twin.
+//! executor's kernels produce byte-identical rows and identical
+//! `ExecStats` to the scalar evaluator they stand in for.
 
 use std::cmp::Ordering;
 use std::hash::Hasher;
@@ -622,7 +622,7 @@ impl CmpOp {
 
 /// A predicate the filter kernel can evaluate vectorized: a column against
 /// a literal, or a column against a column (both in the same batch). More
-/// general predicates stay on the row-wise path.
+/// general predicates run on the scalar evaluator.
 #[derive(Debug, Clone)]
 pub enum ColPredicate {
     /// `column <op> literal` (literal-first comparisons are pre-flipped by
@@ -647,7 +647,7 @@ pub enum ColPredicate {
 }
 
 /// Evaluate `pred` over the rows named by `sel`, returning the surviving
-/// selection (order preserved). Semantics match the row-wise evaluator
+/// selection (order preserved). Semantics match the scalar evaluator
 /// exactly: `=`,`<`,… use [`Value::sql_cmp`] three-valued comparison (NULL
 /// and NaN comparisons never qualify), `IS NOT DISTINCT FROM` uses
 /// [`Value::total_cmp`] (NULL matches NULL, `-0.0` ≠ `0.0`).
@@ -822,7 +822,7 @@ pub type HashKeyPart<'a> = (&'a Column, bool);
 
 /// Bulk-hash composite keys over the rows named by `sel`. Returns one entry
 /// per selected row: `None` when any `=`-key part is NULL or NaN (the row
-/// can never match and must be skipped, exactly like the row-wise
+/// can never match and must be skipped, exactly like the scalar
 /// `eq_key` path), otherwise a 64-bit hash such that keys equal under the
 /// respective equality hash identically — including `Int(1)`/`Double(1.0)`
 /// and `-0.0`/`0.0` on normalized parts.

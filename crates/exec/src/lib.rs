@@ -28,6 +28,12 @@
 //!   correlation bindings are joined — the placement the paper's optimizer
 //!   chose for Query 2 ("places the subquery *before* the join between
 //!   Parts and Lineitem", 209 invocations).
+//!
+//! The execution machinery itself is not a knob: every query runs the
+//! columnar kernels wherever a predicate compiles (the scalar evaluator
+//! otherwise) and memoized, batched nested iteration. The one alternative
+//! kept, [`ExecOptions::naive_ni`], is the oracle the differential tests
+//! and `harness ni-bench` compare against.
 
 pub mod cache;
 pub mod cost;

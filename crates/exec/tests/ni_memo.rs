@@ -1,14 +1,18 @@
 //! Differential property suite for batched + memoized nested iteration.
 //!
-//! Naive NI (`ExecOptions::naive_ni()`) is the oracle: the memoized lane
-//! (`ni_memo` only) and the batched lane (`ni_memo + ni_batch`, the
-//! default) must return byte-identical rows in the identical order on a
+//! Naive NI (`ExecOptions::naive_ni()`) is the oracle: the default
+//! executor (correlation-key memo, batched lateral joins, correlation
+//! probe) must return byte-identical rows in the identical order on a
 //! generated family of correlated aggregate queries over databases with
 //! NULL-heavy correlation bindings, mixed Int/Double keys with signed
 //! zeros and NaN, empty outer sides, and DISTINCT aggregates — under
-//! threads {1, 4} × columnar {on, off}. The memo counters must satisfy
-//! `distinct + hits == invocations` with `distinct ≤ invocations`, and the
-//! logical invocation count must match the naive lane exactly.
+//! threads {1, 4} × {kernel spelling, scalar spelling}. The scalar
+//! spelling adds `+ 0` to every outer-side comparison operand
+//! (`D.num_emps + 0 < …`, `E.building = D.building + 0`), so no filter
+//! compiles to a kernel while the plan stays the same. The memo counters
+//! must satisfy `distinct + hits == invocations` with
+//! `distinct ≤ invocations`, and the logical invocation count must match
+//! the naive lane exactly.
 
 use decorr_common::{DataType, ExecStats, Row, Schema, Value};
 use decorr_exec::{execute_with, ExecOptions};
@@ -113,15 +117,21 @@ const AGGS: [&str; 6] = [
 ];
 const CMPS: [&str; 4] = ["<", ">=", "=", "<>"];
 
-fn query(agg: &str, cmp: &str) -> String {
+/// The query in the kernel spelling (`z = ""`) or the scalar spelling
+/// (`z = " + 0"`).
+fn spelled(agg: &str, cmp: &str, z: &str) -> String {
     format!(
-        "SELECT D.name FROM dept D WHERE D.num_emps {cmp} \
-         (SELECT {agg} FROM emp E WHERE E.building = D.building)"
+        "SELECT D.name FROM dept D WHERE D.num_emps{z} {cmp} \
+         (SELECT {agg} FROM emp E WHERE E.building = D.building{z})"
     )
 }
 
-fn opts(threads: usize, columnar: bool) -> ExecOptions {
-    ExecOptions { threads, columnar, ..ExecOptions::default() }
+fn query(agg: &str, cmp: &str) -> String {
+    spelled(agg, cmp, "")
+}
+
+fn opts(threads: usize) -> ExecOptions {
+    ExecOptions { threads, ..ExecOptions::default() }
 }
 
 /// Run `sql` under nested iteration (the bound QGM executes as-is) and
@@ -155,34 +165,27 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
 
     /// The general family: random worlds (including empty outer sides),
-    /// every aggregate × comparison, all three lanes, both thread counts,
-    /// both batch layouts.
+    /// every aggregate × comparison, both lanes, both thread counts, both
+    /// spellings.
     #[test]
-    fn memo_and_batched_match_naive(
+    fn batched_matches_naive(
         w in world(0.2, 20),
         agg_i in 0usize..AGGS.len(),
         cmp_i in 0usize..CMPS.len(),
     ) {
         let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i]);
-        let (oracle, naive_stats) = run(&db, &sql, opts(1, false).naive_ni());
+        let (agg, cmp) = (AGGS[agg_i], CMPS[cmp_i]);
+        let (oracle, naive_stats) = run(&db, &query(agg, cmp), opts(1).naive_ni());
         for threads in [1usize, 4] {
-            for columnar in [false, true] {
-                let o = opts(threads, columnar);
+            for z in ["", " + 0"] {
+                let sql = spelled(agg, cmp, z);
+                let o = opts(threads);
                 let (naive, ns) = run(&db, &sql, o.clone().naive_ni());
-                prop_assert_eq!(&naive, &oracle, "naive diverged: t={} c={} {}", threads, columnar, &sql);
+                prop_assert_eq!(&naive, &oracle, "naive diverged: t={} {}", threads, &sql);
                 prop_assert_eq!(ns.subquery_invocations, naive_stats.subquery_invocations);
 
-                let (memo, ms) = run(
-                    &db,
-                    &sql,
-                    ExecOptions { ni_batch: false, ..o.clone() },
-                );
-                prop_assert_eq!(&memo, &oracle, "memo diverged: t={} c={} {}", threads, columnar, &sql);
-                check_counters(&naive_stats, &ms, &sql);
-
                 let (batched, bs) = run(&db, &sql, o);
-                prop_assert_eq!(&batched, &oracle, "batched diverged: t={} c={} {}", threads, columnar, &sql);
+                prop_assert_eq!(&batched, &oracle, "batched diverged: t={} {}", threads, &sql);
                 check_counters(&naive_stats, &bs, &sql);
             }
         }
@@ -198,8 +201,8 @@ proptest! {
     ) {
         let db = build_db(&w);
         let sql = query(AGGS[agg_i], "<");
-        let (oracle, naive_stats) = run(&db, &sql, opts(1, true).naive_ni());
-        let (memo, ms) = run(&db, &sql, opts(1, true));
+        let (oracle, naive_stats) = run(&db, &sql, opts(1).naive_ni());
+        let (memo, ms) = run(&db, &sql, opts(1));
         prop_assert_eq!(&memo, &oracle, "diverged on {}", &sql);
         check_counters(&naive_stats, &ms, &sql);
         // More outer rows than distinct bindings (4 buildings + NULL class)
@@ -227,8 +230,8 @@ proptest! {
              (SELECT COUNT(*) FROM emp E WHERE COALESCE(E.building, D.building) = 1)",
             CMPS[cmp_i]
         );
-        let (oracle, naive_stats) = run(&db, &sql, opts(1, true).naive_ni());
-        let (memo, ms) = run(&db, &sql, opts(1, true));
+        let (oracle, naive_stats) = run(&db, &sql, opts(1).naive_ni());
+        let (memo, ms) = run(&db, &sql, opts(1));
         prop_assert_eq!(&memo, &oracle, "diverged on {}", &sql);
         check_counters(&naive_stats, &ms, &sql);
     }
@@ -245,8 +248,8 @@ fn repeated_bindings_memoize() {
     };
     let db = build_db(&w);
     let sql = query("COUNT(*)", "<");
-    let (oracle, ns) = run(&db, &sql, opts(1, true).naive_ni());
-    let (memo, ms) = run(&db, &sql, opts(1, true));
+    let (oracle, ns) = run(&db, &sql, opts(1).naive_ni());
+    let (memo, ms) = run(&db, &sql, opts(1));
     assert_eq!(memo, oracle);
     assert_eq!(ns.subquery_invocations, 12);
     assert_eq!(ms.subquery_invocations, 12);
@@ -266,11 +269,11 @@ fn memo_budget_exhaustion_degrades_gracefully() {
     };
     let db = build_db(&w);
     let sql = query("COUNT(*)", "<");
-    let (oracle, _) = run(&db, &sql, opts(1, true).naive_ni());
+    let (oracle, _) = run(&db, &sql, opts(1).naive_ni());
     // A 2-row budget admits two of the three distinct one-row subquery
     // results into the memo ledger; the third class re-executes on every
     // binding — but the query still runs and agrees.
-    let o = ExecOptions { mem_budget: Some(2), ..opts(1, true) };
+    let o = ExecOptions { mem_budget: Some(2), ..opts(1) };
     let (rows, stats) = run(&db, &sql, o);
     assert_eq!(rows, oracle);
     assert_eq!(stats.subquery_invocations, 12);

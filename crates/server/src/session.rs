@@ -51,8 +51,6 @@ pub enum Mode {
 pub struct SessionSettings {
     /// Worker threads per query (`ExecOptions::threads`).
     pub threads: usize,
-    /// Columnar kernels on the hot path (`ExecOptions::columnar`).
-    pub columnar: bool,
     /// Per-query logical-tick budget; `None` inherits the service quota
     /// default (which may itself be `None`: no timeout).
     pub timeout_ticks: Option<u64>,
@@ -69,28 +67,17 @@ pub struct SessionSettings {
     /// Share materialized magic/SUPP subtrees with concurrent queries
     /// through the process-wide subplan cache.
     pub shared_subplans: bool,
-    /// Memoize correlated subqueries by correlation key
-    /// (`ExecOptions::ni_memo`). `\set ni_memo off` restores the naive
-    /// once-per-outer-row executor, for A/B timing.
-    pub ni_memo: bool,
-    /// Batch outer bindings and probe subquery correlation columns
-    /// set-orientedly (`ExecOptions::ni_batch`; only effective with
-    /// `ni_memo` on).
-    pub ni_batch: bool,
 }
 
 impl Default for SessionSettings {
     fn default() -> Self {
         SessionSettings {
             threads: 1,
-            columnar: true,
             timeout_ticks: None,
             wall_timeout_ms: None,
             max_display_rows: None,
             plan_cache: true,
             shared_subplans: true,
-            ni_memo: true,
-            ni_batch: true,
         }
     }
 }
@@ -517,51 +504,45 @@ impl Session {
     }
 
     fn handle_set(&mut self, knob: Option<&str>, value: Option<&str>) -> Result<Response> {
-        let usage = "usage: \\set <threads|columnar|timeout_ticks|wall_ms|max_rows\
-                     |plan_cache|shared_subplans|ni_memo|ni_batch> <value>";
+        const KNOBS: [&str; 6] = [
+            "threads",
+            "timeout_ticks",
+            "wall_ms",
+            "max_rows",
+            "plan_cache",
+            "shared_subplans",
+        ];
         let Some(knob) = knob else {
             let s = &self.settings;
             return Ok(Response::lines(vec![
                 format!("threads         {}", s.threads),
-                format!("columnar        {}", s.columnar),
                 format!("timeout_ticks   {}", opt(s.timeout_ticks)),
                 format!("wall_ms         {}", opt(s.wall_timeout_ms)),
                 format!("max_rows        {}", opt(s.max_display_rows)),
                 format!("plan_cache      {}", onoff(s.plan_cache)),
                 format!("shared_subplans {}", onoff(s.shared_subplans)),
-                format!("ni_memo         {}", onoff(s.ni_memo)),
-                format!("ni_batch        {}", onoff(s.ni_batch)),
             ]));
         };
+        let unknown = || {
+            Error::parse(format!(
+                "\\set: unknown knob {knob:?} (valid knobs: {})",
+                KNOBS.join(", ")
+            ))
+        };
         let Some(value) = value else {
-            return Ok(Response::line(usage));
+            if !KNOBS.contains(&knob) {
+                return Err(unknown());
+            }
+            return Ok(Response::line(format!(
+                "usage: \\set <{}> <value>",
+                KNOBS.join("|")
+            )));
         };
         let bad = |k: &str, v: &str| Error::parse(format!("\\set {k}: bad value {v:?}"));
         match knob {
             "threads" => {
                 self.settings.threads =
                     value.parse::<usize>().map_err(|_| bad(knob, value))?.max(1);
-            }
-            "columnar" => {
-                self.settings.columnar = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err(bad(knob, value)),
-                };
-            }
-            "ni_memo" => {
-                self.settings.ni_memo = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err(bad(knob, value)),
-                };
-            }
-            "ni_batch" => {
-                self.settings.ni_batch = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err(bad(knob, value)),
-                };
             }
             "timeout_ticks" => {
                 self.settings.timeout_ticks = parse_opt(value).ok_or_else(|| bad(knob, value))?;
@@ -597,7 +578,7 @@ impl Session {
                     Err(_) => return Err(bad(knob, value)),
                 },
             },
-            _ => return Ok(Response::line(usage)),
+            _ => return Err(unknown()),
         }
         Ok(Response::line("ok"))
     }
@@ -918,9 +899,6 @@ impl Session {
         };
         ExecOptions {
             threads: self.settings.threads,
-            columnar: self.settings.columnar,
-            ni_memo: self.settings.ni_memo,
-            ni_batch: self.settings.ni_batch,
             timeout,
             cancel: Some(cancel),
             mem_budget: mem_rows,

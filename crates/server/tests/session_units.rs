@@ -67,6 +67,46 @@ fn set_and_show_settings() {
 }
 
 #[test]
+fn unknown_set_knobs_are_typed_errors() {
+    let mut s = session();
+    // Knobs the service no longer has included: a script still sending
+    // them must fail loudly, not be silently ignored.
+    for line in [
+        "\\set columnar off",
+        "\\set ni_memo off",
+        "\\set bogus 1",
+        "\\set bogus",
+    ] {
+        match s.handle_line(line) {
+            Err(decorr_common::Error::Parse(msg)) => {
+                assert!(msg.contains("unknown knob"), "{line}: {msg}");
+                for knob in [
+                    "threads",
+                    "timeout_ticks",
+                    "wall_ms",
+                    "max_rows",
+                    "plan_cache",
+                    "shared_subplans",
+                ] {
+                    assert!(msg.contains(knob), "{line}: {msg} lacks {knob}");
+                }
+            }
+            other => panic!("{line}: expected a parse error, got {other:?}"),
+        }
+    }
+    // A known knob without a value still answers with the usage line, and
+    // the listing shows exactly the six knobs.
+    let r = s.handle_line("\\set threads").unwrap();
+    assert!(
+        r.lines[0].starts_with("usage: \\set <threads|"),
+        "{:?}",
+        r.lines
+    );
+    let r = s.handle_line("\\set").unwrap();
+    assert_eq!(r.lines.len(), 6, "{:?}", r.lines);
+}
+
+#[test]
 fn analyze_publishes_a_new_epoch() {
     let mut s = session();
     let before = s.catalog().epoch();

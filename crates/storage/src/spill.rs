@@ -32,6 +32,11 @@ use crate::pager::{BufferPool, PageData, PageIo, PageKey, SegmentId};
 /// Rows buffered per partition before a page is flushed.
 const SPILL_PAGE_ROWS: usize = 2048;
 
+/// Spill file sequence numbers, process-wide: file names carry the pid and
+/// this counter, so any number of managers may share one directory without
+/// two sets ever writing the same file.
+static NEXT_SPILL_FILE: AtomicU64 = AtomicU64::new(1);
+
 fn le_u32(bytes: &[u8]) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[..4]);
@@ -45,7 +50,6 @@ pub struct SpillManager {
     dir: PathBuf,
     env: Arc<dyn StorageEnv>,
     pool: Arc<BufferPool>,
-    counter: AtomicU64,
     /// Spill files whose deletion failed on drop (leaked until the next
     /// store open sweeps the directory).
     cleanup_failures: Arc<AtomicU64>,
@@ -60,13 +64,7 @@ impl SpillManager {
     ) -> Result<SpillManager> {
         let dir = dir.into();
         env.create_dir_all(&dir)?;
-        Ok(SpillManager {
-            dir,
-            env,
-            pool,
-            counter: AtomicU64::new(1),
-            cleanup_failures: Arc::new(AtomicU64::new(0)),
-        })
+        Ok(SpillManager { dir, env, pool, cleanup_failures: Arc::new(AtomicU64::new(0)) })
     }
 
     /// The pool spill pages fault through.
@@ -86,7 +84,7 @@ impl SpillManager {
 
     /// Start a new partition set with `parts` partitions.
     pub fn partition_set(&self, parts: usize) -> Result<SpillSet> {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
+        let n = NEXT_SPILL_FILE.fetch_add(1, Ordering::Relaxed);
         let path = self
             .dir
             .join(format!("spill-{}-{}.tmp", std::process::id(), n));

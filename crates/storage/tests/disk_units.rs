@@ -236,6 +236,48 @@ fn spill_partitions_round_trip_in_push_order() {
 }
 
 #[test]
+fn spill_managers_sharing_a_directory_never_share_a_file() {
+    // Two managers (each with its own pool) on one directory in one
+    // process, with their partition sets alive and written at the same
+    // time: every set must get its own file and read back its own rows.
+    let dir = tmp_dir("spill-shared");
+    let managers = [
+        SpillManager::new(&dir, RealEnv::shared(), BufferPool::new(1 << 20)).unwrap(),
+        SpillManager::new(&dir, RealEnv::shared(), BufferPool::new(1 << 20)).unwrap(),
+    ];
+    let mut sets = Vec::new();
+    for _ in 0..2 {
+        for m in &managers {
+            sets.push(m.partition_set(2).unwrap());
+        }
+    }
+    let mut paths: Vec<PathBuf> = sets.iter().map(|s| s.path().to_path_buf()).collect();
+    paths.sort();
+    paths.dedup();
+    assert_eq!(paths.len(), sets.len(), "spill sets share a file");
+    // Interleave the writes so pages of different sets alternate on disk.
+    for i in 0..5000i64 {
+        for (k, set) in sets.iter_mut().enumerate() {
+            set.push((i % 2) as usize, row![k as i64, i]).unwrap();
+        }
+    }
+    for set in &mut sets {
+        set.finish().unwrap();
+    }
+    let mut io = PageIo::default();
+    for (k, set) in sets.iter().enumerate() {
+        for part in 0..2 {
+            let rows = set.read_partition(part, &mut io).unwrap();
+            let want: Vec<Row> = (0..5000i64)
+                .filter(|i| (i % 2) as usize == part)
+                .map(|i| row![k as i64, i])
+                .collect();
+            assert_eq!(rows, want, "set {k} partition {part} lost its rows");
+        }
+    }
+}
+
+#[test]
 fn spill_dropping_the_set_removes_the_file() {
     let m = spill_manager("spill-drop");
     let mut set = m.partition_set(1).unwrap();

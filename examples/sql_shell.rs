@@ -14,7 +14,8 @@
 //! \tables                list tables
 //! \strategy <s>          auto | ni | kim | dayal | ganski | magic | optmag
 //! \explain <sql>         show the (rewritten) query graph instead of rows
-//! \set <knob> <value>    threads | columnar | timeout_ticks | wall_ms | max_rows
+//! \set <knob> <value>    threads | timeout_ticks | wall_ms | max_rows
+//!                        | plan_cache | shared_subplans
 //! \session  \stats       session / service introspection
 //! \pool  \checkpoint     buffer pool counters / manifest + WAL checkpoint
 //! \quit
