@@ -302,3 +302,43 @@ fn merged_parallel_stats_equal_serial_stats() {
         );
     }
 }
+
+/// Computed output lists over selections that cross the morsel threshold:
+/// the end stage evaluates the outputs per morsel of survivors across the
+/// pool, after either a kernel or a scalar filter, and must reproduce the
+/// serial rows, their order and the counters exactly.
+#[test]
+fn computed_projection_parallel_equals_serial() {
+    use decorr_tpcd::empdept::{self, EmpDeptConfig};
+
+    let db = empdept::generate(&EmpDeptConfig {
+        departments: 600,
+        employees: 4000,
+        buildings: 25,
+        seed: 11,
+        with_indexes: false,
+    })
+    .unwrap();
+    for sql in [
+        "SELECT E.name, E.building * 2 + 1 FROM emp E WHERE E.building < 20",
+        "SELECT E.name, E.building * 2 + 1 FROM emp E WHERE E.building + 0 < 20",
+        "SELECT D.name, D.budget + E.building FROM dept D, emp E \
+         WHERE E.building = D.building AND D.num_emps + E.building > 3",
+    ] {
+        let qgm = parse_and_bind(sql, &db).unwrap();
+        let plan = apply_strategy(&qgm, ExecStrategy::NestedIteration).unwrap();
+        let (serial_rows, serial_stats) =
+            execute_with(&db, &plan, ExecOptions { threads: 1, ..Default::default() }).unwrap();
+        let (par_rows, par_stats) =
+            execute_with(&db, &plan, ExecOptions { threads: 4, ..Default::default() }).unwrap();
+        assert!(
+            serial_rows.len() > MORSEL_ROWS,
+            "{sql}: selection must span several morsels"
+        );
+        assert_eq!(par_rows, serial_rows, "{sql}: rows or row order diverged");
+        assert_eq!(
+            par_stats, serial_stats,
+            "{sql}: merged ExecStats diverged from serial"
+        );
+    }
+}
